@@ -2,11 +2,12 @@
 
 Unlike the figure benches (which assert *simulated* results), this suite
 measures host throughput — kernel events/sec in both scheduling idioms,
-one end-to-end small Fig. 4, and the persistent-pool sweep runner across
-a jobs curve — and writes the numbers to ``BENCH_wallclock.json`` at the
-repo root.  Assertions are deliberately conservative (CI machines vary
-wildly); the committed JSON records the dev-box numbers and
-``scripts/perf_smoke.py`` gates regressions in CI.
+one end-to-end small Fig. 4, the persistent-pool sweep runner across
+a jobs curve, and host cost per write as the lock tables grow — and
+writes the numbers to ``BENCH_wallclock.json`` at the repo root.
+Assertions are deliberately conservative (CI machines vary wildly); the
+committed JSON records the dev-box numbers and ``scripts/perf_smoke.py``
+gates regressions in CI.
 """
 
 import json
@@ -17,8 +18,10 @@ from pathlib import Path
 import pytest
 
 from repro.harness.wallclock import (
+    MAX_SCALING_RATIO,
     fig4_seconds,
     kernel_events_per_sec,
+    lock_table_scaling,
     partition_timing,
     sweep_timing,
 )
@@ -134,3 +137,13 @@ def test_partition_curve(benchmark):
     if timing["cpus"] < 2:
         assert all("speedup" not in e
                    for e in timing["per_partitions"].values())
+
+
+def test_lock_table_scaling(benchmark):
+    # Host cost per write must stay roughly flat as the lock tables grow
+    # with the run (the same gate scripts/perf_smoke.py enforces).
+    timing = benchmark.pedantic(lock_table_scaling, rounds=1, iterations=1)
+    RESULTS["lock_table_scaling"] = timing
+    print(f"\nlock-table scaling: {timing['us_per_write']} us/write, "
+          f"ratio {timing['ratio']}x (limit {MAX_SCALING_RATIO}x)")
+    assert timing["ratio"] <= MAX_SCALING_RATIO

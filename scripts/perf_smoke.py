@@ -9,8 +9,12 @@ Usage::
 
 Absolute wall-clock numbers only warn (shared CI runners are noisy) —
 including the serial direct-kernel throughput floor (``--kernel-floor``,
-default 2.0M ev/s).  Two things hard-fail:
+default 2.0M ev/s).  Three things hard-fail:
 
+* host cost per simulated write on the contended IOR n1-strided point
+  growing more than 1.6x from 32 to 256 writes per client — the lock
+  server's and lock client's table queries must not scale with table
+  size (a ratio within one run, so runner speed cancels out);
 * a parallel sweep *or a partitioned run* that stops being
   byte-identical to the serial run — that is a determinism bug, not
   jitter;

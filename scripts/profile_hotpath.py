@@ -2,11 +2,16 @@
 """Profile the simulator's hot path (the optimisation workflow of the
 scientific-Python guides: measure before touching anything).
 
-Runs a representative high-contention IOR point under cProfile and
-prints the top functions by cumulative and internal time.  Use this
-before changing anything in `repro.sim`/`repro.net` — the event loop and
-the extent map dominate, and regressions there multiply across every
-experiment.
+Runs a representative high-contention IOR point (n1-strided, 16
+clients, 64 KiB, seqdlm, no payload content) under cProfile and prints
+the top functions by cumulative and internal time.  Until the lock
+tables were interval-indexed (`repro.dlm.locktable`), the lock server's
+table scans took about three quarters of host time here and grew with
+the table.  Host time now splits roughly evenly between the event loop
+(`repro.sim.core`), the SN-tagged extent maps of the data path
+(`repro.dlm.extent`) and the lock path (`dlm/server.py` and
+`dlm/locktable.py`), with RPC, fabric and the ccPFS client behind them.
+Profile before optimizing any of them.
 
     python scripts/profile_hotpath.py [--writes N] [--sort tottime]
 """

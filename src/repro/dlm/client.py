@@ -28,6 +28,7 @@ from typing import Callable, Dict, Generator, Hashable, List, Optional, Tuple
 
 from repro.dlm.config import DLMConfig, LivenessConfig
 from repro.dlm.extent import Extent
+from repro.dlm.locktable import CachedLocks
 from repro.dlm.messages import (
     DowngradeMsg,
     FailoverAnnounceMsg,
@@ -56,9 +57,9 @@ from repro.net.rpc import (
 __all__ = ["ClientLock", "LockClient", "LockClientStats"]
 
 
-@dataclass
+@dataclass(eq=False)
 class ClientLock:
-    """Client-side record of one granted lock."""
+    """Client-side record of one granted lock (compared by identity)."""
 
     lock_id: int
     resource_id: Hashable
@@ -191,7 +192,7 @@ class LockClient:
         #: clusters): one per lock() call, stable across wrong-shard
         #: re-routes so a migrated grant can answer a resend.
         self._request_tokens = itertools.count(1)
-        self._cache: Dict[Hashable, List[ClientLock]] = {}
+        self._cache: Dict[Hashable, CachedLocks] = {}
         # Lock ids are only unique per server; key by (resource, id).
         self._by_id: Dict[tuple, ClientLock] = {}
         # Revocations that arrived before their grant reply (the server
@@ -308,7 +309,10 @@ class LockClient:
                           mode=grant.mode, extents=grant.extents,
                           sn=grant.sn, state=grant.state, refcount=1)
         self._absorb(grant, lock)
-        self._cache.setdefault(resource_id, []).append(lock)
+        locks = self._cache.get(resource_id)
+        if locks is None:
+            locks = self._cache[resource_id] = CachedLocks()
+        locks.append(lock)
         self._by_id[(resource_id, lock.lock_id)] = lock
         key = (resource_id, lock.lock_id)
         if key in self._pending_revokes:
@@ -390,9 +394,14 @@ class LockClient:
             return
 
     def _cache_lookup(self, resource_id, extents, mode) -> Optional[ClientLock]:
-        for cl in self._cache.get(resource_id, ()):
+        locks = self._cache.get(resource_id)
+        if locks is None:
+            return None
+        # The first reusable lock in cache order among those covering
+        # the request.
+        for cl in locks.covering(extents):
             if (cl.state is LockState.GRANTED and not cl.cancel_started
-                    and can_satisfy(cl.mode, mode) and cl.covers(extents)):
+                    and can_satisfy(cl.mode, mode)):
                 cl.refcount += 1
                 return cl
         return None
@@ -407,9 +416,9 @@ class LockClient:
             new.refcount += old.refcount
             new.used_read = new.used_read or old.used_read
             new.used_write = new.used_write or old.used_write
-            locks = self._cache.get(old.resource_id, [])
-            if old in locks:
-                locks.remove(old)
+            locks = self._cache.get(old.resource_id)
+            if locks is not None:
+                locks.discard(old)
 
     @staticmethod
     def _mark_use(lock: ClientLock, for_write: bool) -> None:
@@ -543,8 +552,8 @@ class LockClient:
         self._pending_revokes.discard((lock.resource_id, lock.lock_id))
         self._by_id.pop((lock.resource_id, lock.lock_id), None)
         locks = self._cache.get(lock.resource_id)
-        if locks and lock in locks:
-            locks.remove(lock)
+        if locks is not None:
+            locks.discard(lock)
 
     # -------------------------------------------------------------- liveness
     def note_fenced(self, msg: FencedMsg) -> None:

@@ -82,12 +82,15 @@ def _coalesce(pieces: List[Extent]) -> List[Extent]:
 class ExtentMap:
     """Sorted, non-overlapping ``(start, end, sn)`` entries."""
 
-    __slots__ = ("_starts", "_ends", "_sns")
+    __slots__ = ("_starts", "_ends", "_sns", "_covered")
 
     def __init__(self):
         self._starts: List[int] = []
         self._ends: List[int] = []
         self._sns: List[int] = []
+        #: Running total of covered bytes (the page cache reads it around
+        #: every dirty-map update).
+        self._covered = 0
 
     # -- introspection -----------------------------------------------------
     def __len__(self) -> int:
@@ -97,7 +100,7 @@ class ExtentMap:
         return list(zip(self._starts, self._ends, self._sns))
 
     def covered_bytes(self) -> int:
-        return sum(e - s for s, e in zip(self._starts, self._ends))
+        return self._covered
 
     def _check_invariants(self) -> None:
         """Debug/property-test hook: sorted, non-overlapping, non-empty."""
@@ -106,6 +109,8 @@ class ExtentMap:
             assert s < e, "empty entry"
             assert s >= prev_end, "overlap or disorder"
             prev_end = e
+        assert self._covered == sum(
+            e - s for s, e in zip(self._starts, self._ends)), "byte count"
 
     # -- window location ----------------------------------------------------
     def _window(self, start: int, end: int) -> Tuple[int, int]:
@@ -168,8 +173,12 @@ class ExtentMap:
             if merged[-1][1] == ns and merged[-1][2] == nsn:
                 merged[-1] = (merged[-1][0], ne, nsn)
                 hi += 1
-        self._starts[lo:hi] = [m[0] for m in merged]
-        self._ends[lo:hi] = [m[1] for m in merged]
+        starts = [m[0] for m in merged]
+        ends = [m[1] for m in merged]
+        self._covered += (sum(ends) - sum(starts)
+                          - sum(self._ends[lo:hi]) + sum(self._starts[lo:hi]))
+        self._starts[lo:hi] = starts
+        self._ends[lo:hi] = ends
         self._sns[lo:hi] = [m[2] for m in merged]
 
     def merge(self, start: int, end: int, sn: int) -> List[Extent]:
@@ -235,9 +244,11 @@ class ExtentMap:
         self._starts = [k[0] for k in kept]
         self._ends = [k[1] for k in kept]
         self._sns = [k[2] for k in kept]
+        self._covered = sum(k[1] - k[0] for k in kept)
         return dropped
 
     def clear(self) -> None:
         self._starts.clear()
         self._ends.clear()
         self._sns.clear()
+        self._covered = 0

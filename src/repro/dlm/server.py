@@ -37,6 +37,7 @@ from repro.dlm.config import (
     LUSTRE_LOCK_COUNT_TRIGGER,
 )
 from repro.dlm.extent import EOF, overlaps
+from repro.dlm.locktable import LockCounter, LockTable, group_mask
 from repro.dlm.messages import (
     DowngradeMsg,
     FencedMsg,
@@ -64,10 +65,18 @@ from repro.net.rpc import (
 
 __all__ = ["LockServer", "ServerLock", "LockServerStats", "LivenessEvent"]
 
+#: Lock-table groups (see repro.dlm.locktable) the mSN query reads.
+_WRITE_GROUPS = group_mask(lambda mode, state: is_write_mode(mode))
+#: Groups whose overlap makes a write grant an *early* grant (Table II).
+_CANCELING_NBW = group_mask(
+    lambda mode, state: mode is LockMode.NBW and state is LockState.CANCELING)
 
-@dataclass
+
+@dataclass(eq=False)
 class ServerLock:
-    """Server-side record of one granted, unreleased lock."""
+    """Server-side record of one granted, unreleased lock (compared by
+    identity: two records are the same lock only if they are one object).
+    """
 
     lock_id: int
     resource_id: Hashable
@@ -87,8 +96,7 @@ class ServerLock:
         mine = self.extents
         # Fast path: single extent on both sides (the common case by
         # orders of magnitude — datatype locks are the only multi-extent
-        # producers).  Profiling shows this predicate dominates the
-        # server's conflict scans under contention.
+        # producers).
         if len(mine) == 1 and len(extents) == 1:
             (a0, a1), (b0, b1) = mine[0], extents[0]
             return a0 < b1 and b0 < a1 and a0 < a1 and b0 < b1
@@ -105,7 +113,7 @@ class _Pending:
 @dataclass
 class _Resource:
     resource_id: Hashable
-    granted: Dict[int, ServerLock] = field(default_factory=dict)
+    granted: LockTable = field(default_factory=LockTable)
     queue: Deque[_Pending] = field(default_factory=deque)
     next_sn: int = 1
 
@@ -187,6 +195,15 @@ class LockServer:
         self.liveness = liveness
         self.stats = LockServerStats()
         self._resources: Dict[Hashable, _Resource] = {}
+        #: Locks granted across every resource, kept by the tables.
+        self._lock_count = LockCounter()
+        #: Per request-mode code: the lock-table groups that conflict
+        #: with it (the LCM is a pure function of the request mode and
+        #: the granted lock's mode and state).
+        self._conflict_masks = [
+            group_mask(lambda mode, state, req=req:
+                       not config.lcm(req, mode, state))
+            for req in LockMode]
         #: lock_id -> (sent_at, resource_id, client_name) for unacked
         #: revocation callbacks (watchdog + revoke-timeout eviction).
         self._revoke_sent_at: Dict[int, Tuple[float, Hashable, str]] = {}
@@ -269,7 +286,8 @@ class LockServer:
     def _res(self, resource_id: Hashable) -> _Resource:
         res = self._resources.get(resource_id)
         if res is None:
-            res = self._resources[resource_id] = _Resource(resource_id)
+            res = self._resources[resource_id] = _Resource(
+                resource_id, LockTable(self._lock_count))
             if self.sn_floors is not None:
                 # The resource was idle and frugally collapsed: restore
                 # its sequencer floor so no SN is ever reissued.
@@ -293,6 +311,7 @@ class LockServer:
     def reset_state(self) -> None:
         """Drop all volatile lock state (crash simulation, §IV-C2)."""
         self._resources.clear()
+        self._lock_count = LockCounter()
         self._revoke_sent_at.clear()
         self._epoch += 1
         # Liveness state is volatile too: leases and fences die with the
@@ -352,7 +371,7 @@ class LockServer:
     @property
     def lock_table_size(self) -> int:
         """Locks currently granted across all resources."""
-        return sum(len(res.granted) for res in self._resources.values())
+        return self._lock_count.value
 
     def _note_table_size(self) -> None:
         size = self.lock_table_size
@@ -499,7 +518,7 @@ class LockServer:
         lock = res.granted.get(msg.lock_id)
         if lock is None:
             return  # raced with release
-        lock.state = LockState.CANCELING
+        res.granted.set_mode_state(lock, lock.mode, LockState.CANCELING)
         self._process(res)
 
     def _on_downgrade(self, msg: DowngradeMsg) -> None:
@@ -507,7 +526,7 @@ class LockServer:
         lock = res.granted.get(msg.lock_id)
         if lock is None:
             return
-        lock.mode = msg.new_mode
+        res.granted.set_mode_state(lock, msg.new_mode, lock.state)
         self.stats.downgrades += 1
         self._process(res)
 
@@ -525,8 +544,8 @@ class LockServer:
         resource's next SN is fully flushed."""
         self.stats.msn_queries += 1
         res = self._res(msg.resource_id)
-        sns = [g.sn for g in res.granted.values()
-               if is_write_mode(g.mode) and g.overlaps_extents(msg.extents)]
+        sns = [g.sn for g in res.granted.overlapping(msg.extents,
+                                                      _WRITE_GROUPS)]
         msn = min(sns) - 1 if sns else res.next_sn - 1
         req.respond(msn)
         self._maybe_gc(res)
@@ -634,30 +653,10 @@ class LockServer:
 
     # ------------------------------------------------------------ the queue
     def _conflicts(self, res: _Resource, msg: LockRequestMsg) -> List[ServerLock]:
-        lcm = self.config.lcm
-        exts = msg.extents
-        mode = msg.mode
-        if len(exts) == 1:
-            # Inlined single-extent overlap test: this scan runs once per
-            # request over every granted lock and dominates server time
-            # under contention (see scripts/profile_hotpath.py).
-            b0, b1 = exts[0]
-            if b0 < b1:
-                out = []
-                for g in res.granted.values():
-                    mine = g.extents
-                    if len(mine) == 1:
-                        a0, a1 = mine[0]
-                        if not (a0 < b1 and b0 < a1 and a0 < a1):
-                            continue
-                    elif not g.overlaps_extents(exts):
-                        continue
-                    if not lcm(mode, g.mode, g.state):
-                        out.append(g)
-                return out
-        return [g for g in res.granted.values()
-                if g.overlaps_extents(exts)
-                and not lcm(mode, g.mode, g.state)]
+        """Granted locks overlapping the request that its mode conflicts
+        with, in table order (revocations go out in this order)."""
+        return res.granted.overlapping(
+            msg.extents, self._conflict_masks[msg.mode.code])
 
     @staticmethod
     def _absorbable(g: ServerLock, client_name: str) -> bool:
@@ -676,10 +675,10 @@ class LockServer:
         — ``absorb`` is None when blockers prevent the upgrade for now.
         """
         absorb = list(conflicts)
+        absorbed = set(absorb)
         mode = msg.mode
         for c in absorb:
             mode = severity_lub(mode, c.mode)
-        lcm = self.config.lcm
         while True:
             lo = min([s for s, _e in msg.extents]
                      + [s for c in absorb for s, _e in c.extents])
@@ -687,15 +686,15 @@ class LockServer:
                      + [e for c in absorb for _s, e in c.extents])
             blockers = []
             grew = False
-            for g in res.granted.values():
-                if g in absorb:
+            # Overlapping the union and incompatible with the upgraded
+            # mode, in table order.
+            for g in res.granted.overlapping(
+                    ((lo, hi),), self._conflict_masks[mode.code]):
+                if g in absorbed:
                     continue
-                if not g.overlaps_extents(((lo, hi),)):
-                    continue
-                if lcm(mode, g.mode, g.state):
-                    continue  # compatible with the upgraded mode
                 if self._absorbable(g, msg.client_name):
                     absorb.append(g)
+                    absorbed.add(g)
                     mode = severity_lub(mode, g.mode)
                     grew = True
                     break  # recompute the union
@@ -775,8 +774,8 @@ class LockServer:
     # ------------------------------------------------------------- granting
     def _expand(self, res: _Resource, msg: LockRequestMsg,
                 mode: LockMode,
-                extents: Tuple[Tuple[int, int], ...],
-                skip_ids: Tuple[int, ...]) -> Tuple[Tuple[Tuple[int, int], ...], bool]:
+                extents: Tuple[Tuple[int, int], ...]
+                ) -> Tuple[Tuple[Tuple[int, int], ...], bool]:
         """Apply the range-expansion policy to ``extents`` (the request's
         extents, possibly already unioned by an upgrade) for a lock about
         to be granted at ``mode`` (possibly upgraded vs the request);
@@ -788,29 +787,13 @@ class LockServer:
         if end >= EOF:
             return extents, False
         lcm = self.config.lcm
-        bound = EOF
         # Granted locks that would conflict with the new mode cap the end;
         # one overlapping the requested range itself makes expansion
         # impossible (the request keeps its exact range).
-        for g in res.granted.values():
-            if g.lock_id in skip_ids:
-                continue
-            mine = g.extents
-            if len(mine) == 1:
-                # A lock entirely below the request can neither cap the
-                # bound nor block expansion — skip it before the (pricier)
-                # compatibility call.  This is the common case in
-                # ascending-offset workloads.
-                gs, ge = mine[0]
-                if ge <= start and gs < end:
-                    continue
-            if lcm(mode, g.mode, g.state):
-                continue
-            for (gs, ge) in g.extents:
-                if gs >= end:
-                    bound = min(bound, gs)
-                elif ge > start:
-                    return extents, False
+        bound = res.granted.expansion_bound(
+            start, end, self._conflict_masks[mode.code])
+        if bound is None:
+            return extents, False
         # Queued requests (other clients) also cap it — granting past them
         # would immediately re-create the conflict they are waiting out.
         # An overlapping queued conflict likewise forbids expansion, which
@@ -855,6 +838,13 @@ class LockServer:
                 return True
         return False
 
+    @staticmethod
+    def _is_early_grant(res: _Resource, mode: LockMode, extents) -> bool:
+        """Early-grant accounting: did Table II's N/Y cell enable this
+        grant (a write overlapping a CANCELING NBW lock)?"""
+        return (is_write_mode(mode)
+                and res.granted.overlaps_any(extents, _CANCELING_NBW))
+
     def _grant(self, res: _Resource, pend: _Pending,
                absorb: Optional[List[ServerLock]] = None) -> None:
         msg = pend.msg
@@ -877,17 +867,10 @@ class LockServer:
                 del res.granted[c.lock_id]
             self.stats.upgrades += 1
 
-        # Early-grant accounting: did Table II's N/Y cell enable this?
-        # Cheap identity checks come first: CANCELING NBW locks are rare,
-        # so the extent test almost never runs.
-        if is_write_mode(mode) and any(
-                g.state is LockState.CANCELING and g.mode is LockMode.NBW
-                and g.overlaps_extents(extents)
-                for g in res.granted.values()):
+        if self._is_early_grant(res, mode, extents):
             self.stats.early_grants += 1
 
-        extents, expanded = self._expand(res, msg, mode, extents,
-                                         absorbed_ids)
+        extents, expanded = self._expand(res, msg, mode, extents)
         if expanded:
             self.stats.expansions += 1
 

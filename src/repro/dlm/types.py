@@ -52,6 +52,16 @@ class LockState(enum.Enum):
         return self.value
 
 
+# Small-int codes (``LockMode.PR.code == 0`` ... in Table II order):
+# lock tables group locks by (mode, state) with plain ints, because
+# hashing an Enum member runs Python-level ``Enum.__hash__``.
+for _code, _member in enumerate(LockMode):
+    _member.code = _code
+for _code, _member in enumerate(LockState):
+    _member.code = _code
+del _code, _member
+
+
 def is_write_mode(mode: LockMode) -> bool:
     return mode is not LockMode.PR
 

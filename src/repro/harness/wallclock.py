@@ -3,7 +3,7 @@
 Everything else in this repo measures *simulated* time; this module
 measures how fast the simulator chews through events on the host — the
 number that decides whether a paper-scale sweep takes minutes or hours.
-Three probes:
+The probes:
 
 * ``kernel_events_per_sec`` — a pure scheduling loop (100 processes x
   2000 delays), in both idioms: ``yield <float>`` (the direct-delay fast
@@ -19,6 +19,12 @@ Three probes:
   conservative partitioned runner (:mod:`repro.sim.partition`) across a
   curve of partition counts, recording per-count wall time, window
   protocol counters, and the partitioned-vs-serial byte-identity verdict.
+* ``lock_table_scaling`` — host microseconds per simulated write for the
+  contended IOR n1-strided point at 32 and 256 writes per client.  A
+  grant path that scans its lock tables costs more per write as the
+  tables grow; the 256/32 ratio is measured within one run, so runner
+  speed cancels out and ``scripts/perf_smoke.py`` hard-fails above
+  :data:`MAX_SCALING_RATIO`.
 
 Honesty policy: every section records the ``cpus`` it was measured on,
 and on single-CPU hosts **speedup claims are suppressed entirely**
@@ -28,13 +34,14 @@ sub-1x or fantasy ratio would be noise dressed as data.
 
 ``collect`` bundles them into the dict committed as
 ``BENCH_wallclock.json``; ``scripts/perf_smoke.py`` re-measures it in CI.
-Wall-clock regressions only warn (shared runners are noisy), but two
-things hard-fail: parallel-vs-serial byte divergence (a determinism bug,
-not jitter) and — on runners with >= 2 CPUs — a parallel sweep that
-fails to beat serial by ``--min-speedup`` (the regression this layer
-exists to prevent; on < 2 CPUs the speedup gate is skipped with a
-visible notice naming the CPU count instead of silently measuring
-sub-1x on one core).  The serial kernel throughput floor
+Wall-clock regressions only warn (shared runners are noisy), but three
+things hard-fail: a lock-table scaling ratio above
+:data:`MAX_SCALING_RATIO`, parallel-vs-serial byte divergence (a
+determinism bug, not jitter) and — on runners with >= 2 CPUs — a
+parallel sweep that fails to beat serial by ``--min-speedup`` (the
+regression this layer exists to prevent; on < 2 CPUs the speedup gate
+is skipped with a visible notice naming the CPU count instead of
+silently measuring sub-1x on one core).  The serial kernel throughput floor
 (``--kernel-floor``) only warns: same-box history is the real gate.
 """
 
@@ -51,11 +58,19 @@ __all__ = [
     "fig4_seconds",
     "sweep_timing",
     "partition_timing",
+    "lock_table_scaling",
+    "check_scaling",
     "collect",
 ]
 
 DEFAULT_JOBS_CURVE = (1, 2, 4)
 DEFAULT_PARTITIONS_CURVE = (1, 2, 4)
+#: Writes per client of the lock-table scaling probe (small, large).
+SCALING_WRITES = (32, 256)
+#: Hard limit on host cost per write at 256 vs 32 writes per client.  A
+#: sublinear grant path stays near 1; the linear lock-table scans
+#: measured ~5x.
+MAX_SCALING_RATIO = 1.6
 
 
 def kernel_events_per_sec(
@@ -260,6 +275,63 @@ def partition_timing(
     }
 
 
+def lock_table_scaling(writes: Iterable[int] = SCALING_WRITES, repeats: int = 3) -> Dict:
+    """Host microseconds per simulated write for IOR n1-strided (16
+    clients, 64 KiB transfers, seqdlm, ``content_mode="off"``) at each
+    writes-per-client count, best of ``repeats``, after one warm-up run
+    (imports and first-call costs would otherwise land on the smallest
+    point).  ``ratio`` is largest over smallest."""
+    from repro.pfs import ClusterConfig
+    from repro.workloads.ior import IorConfig, run_ior
+
+    clients, xfer = 16, 64 * 1024
+    curve = sorted({int(n) for n in writes})
+    if len(curve) < 2 or curve[0] < 1:
+        raise ValueError(f"need >= 2 positive write counts, got {curve}")
+
+    def us_per_write(n: int) -> float:
+        t0 = time.perf_counter()
+        run_ior(
+            IorConfig(
+                pattern="n1-strided",
+                clients=clients,
+                writes_per_client=n,
+                xfer=xfer,
+                stripes=1,
+                cluster=ClusterConfig(dlm="seqdlm", content_mode="off"),
+            )
+        )
+        return (time.perf_counter() - t0) / (clients * n) * 1e6
+
+    us_per_write(curve[0])
+    per = {str(n): round(min(us_per_write(n) for _ in range(repeats)), 1) for n in curve}
+    return {
+        "pattern": "n1-strided",
+        "clients": clients,
+        "xfer": xfer,
+        "dlm": "seqdlm",
+        "cpus": os.cpu_count() or 1,
+        "us_per_write": per,
+        "ratio": round(per[str(curve[-1])] / per[str(curve[0])], 3),
+        "max_ratio": MAX_SCALING_RATIO,
+    }
+
+
+def check_scaling(scaling: Dict) -> Optional[str]:
+    """The perf-smoke verdict on a :func:`lock_table_scaling` result: an
+    error message when the ratio exceeds its limit, else None.  The
+    ratio is taken within one run, so runner speed cancels out and a
+    breach means the grant path scales with table size again."""
+    if scaling["ratio"] <= scaling["max_ratio"]:
+        return None
+    counts = sorted(scaling["us_per_write"], key=int)
+    return (
+        f"host cost per write grows {scaling['ratio']}x from {counts[0]} "
+        f"to {counts[-1]} writes per client (limit {scaling['max_ratio']}x)"
+        " — lock-table queries scale with table size"
+    )
+
+
 def collect(
     jobs: Union[int, Iterable[int]] = DEFAULT_JOBS_CURVE,
     scale: str = "small",
@@ -287,6 +359,7 @@ def collect(
         "fig4_small_seconds": round(fig4_seconds(scale), 3),
         "sweep": sweep_timing(jobs=jobs, scale=scale),
         "partition": partition_timing(),
+        "lock_table_scaling": lock_table_scaling(),
     }
     if baseline_events_per_sec:
         out["kernel"]["seed_kernel_events_per_sec"] = round(baseline_events_per_sec)
@@ -311,6 +384,16 @@ def _write_step_summary(payload: Dict) -> None:
         f"- kernel: direct **{kernel['direct_events_per_sec']:,}** ev/s · "
         f"timeout {kernel['timeout_events_per_sec']:,} ev/s · "
         f"fig4 small {payload['fig4_small_seconds']}s",
+    ]
+    scaling = payload.get("lock_table_scaling")
+    if scaling:
+        us = scaling["us_per_write"]
+        lines.append(
+            "- lock-table scaling (IOR n1-strided, µs/write): "
+            + " · ".join(f"{n} writes **{v}**" for n, v in us.items())
+            + f" · ratio **{scaling['ratio']}x** (limit {scaling['max_ratio']}x)"
+        )
+    lines += [
         "",
         "| jobs | wall (s) | speedup vs serial | chunksize | chunks | byte-identical |",
         "|---:|---:|---:|---:|---:|:---|",
@@ -411,6 +494,11 @@ def main(argv=None) -> int:  # pragma: no cover - exercised via script
             "::error::perf-smoke: partitioned run diverged from serial "
             "— conservative-window determinism bug"
         )
+        rc = 1
+
+    scaling_error = check_scaling(payload["lock_table_scaling"])
+    if scaling_error:
+        print(f"::error::perf-smoke: {scaling_error}")
         rc = 1
 
     kernel = payload["kernel"]
