@@ -15,9 +15,8 @@ default 2.0M ev/s).  Three things hard-fail:
   growing more than 1.6x from 32 to 256 writes per client — the lock
   server's and lock client's table queries must not scale with table
   size (a ratio within one run, so runner speed cancels out);
-* a parallel sweep *or a partitioned run* that stops being
-  byte-identical to the serial run — that is a determinism bug, not
-  jitter;
+* a parallel sweep that stops being byte-identical to the serial run —
+  that is a determinism bug, not jitter;
 * on a runner with >= 2 CPUs, a parallel sweep whose best speedup falls
   below ``--min-speedup`` (default 1.1x) — the persistent-pool sweep
   must actually beat serial.  On < 2 CPUs the gate is skipped with a
@@ -25,8 +24,8 @@ default 2.0M ev/s).  Three things hard-fail:
   suppressed outright (seconds only) instead of recording sub-1x
   fantasy ratios measured on one core.
 
-When ``$GITHUB_STEP_SUMMARY`` is set, per-jobs and per-partition-count
-tables are appended to the job summary.
+When ``$GITHUB_STEP_SUMMARY`` is set, a per-jobs table is appended to
+the job summary.
 """
 
 import sys

@@ -1,17 +1,16 @@
 """Payload content-tracking modes for the data path.
 
-The seed model had a boolean choice: store every written byte for real
-(``track_content=True`` — needed by the §V-B data-safety experiments) or
-keep no content at all (pure-performance runs).  Full tracking costs a
-numpy buffer copy per cached/stored slice plus the buffers themselves,
-which dominates paper-scale sweeps that never read the bytes back.
+The data path can store every written byte for real (needed by the §V-B
+data-safety experiments) or keep no content at all (pure-performance
+runs).  Full tracking costs a numpy buffer copy per cached/stored slice
+plus the buffers themselves, which dominates paper-scale sweeps that
+never read the bytes back.
 
 This module makes the choice tri-state:
 
 ``"full"``
     Real bytes in the client page cache and data-server block store;
-    reads return actual content and verify oracles work.  The old
-    ``track_content=True``.
+    reads return actual content and verify oracles work.
 
 ``"checksum"``
     No byte buffers anywhere.  Instead every write folds its update set
@@ -23,12 +22,10 @@ This module makes the choice tri-state:
     Reads return ``None`` exactly as in ``"off"`` mode.
 
 ``"off"``
-    Extent/SN bookkeeping only (sizes are still tracked).  The old
-    ``track_content=False``.
+    Extent/SN bookkeeping only (sizes are still tracked).
 
-``resolve_content_mode`` keeps the boolean API working: components and
-configs still accept ``track_content``; an explicit ``content_mode``
-always wins over the bool.
+``resolve_content_mode`` maps an unset mode to ``"full"`` and rejects
+anything else outside :data:`CONTENT_MODES`.
 """
 
 from __future__ import annotations
@@ -52,11 +49,10 @@ CONTENT_OFF = "off"
 CONTENT_MODES = (CONTENT_FULL, CONTENT_CHECKSUM, CONTENT_OFF)
 
 
-def resolve_content_mode(track_content: bool = True,
-                         content_mode: Optional[str] = None) -> str:
-    """Collapse the legacy bool and the tri-state into one mode string."""
+def resolve_content_mode(content_mode: Optional[str] = None) -> str:
+    """Validate ``content_mode``; ``None`` means ``"full"``."""
     if content_mode is None:
-        return CONTENT_FULL if track_content else CONTENT_OFF
+        return CONTENT_FULL
     if content_mode not in CONTENT_MODES:
         raise ValueError(
             f"content_mode must be one of {CONTENT_MODES}, "

@@ -108,7 +108,6 @@ class DataServer:
                  extent_cache: ServerExtentCache,
                  io_ops: float = 1_000_000.0,
                  extent_log: Optional[ExtentLog] = None,
-                 track_content: bool = True,
                  dedup: bool = False,
                  content_mode: Optional[str] = None,
                  admission=None):
@@ -117,8 +116,8 @@ class DataServer:
         self.device = device
         self.extent_cache = extent_cache
         self.extent_log = extent_log
-        self.content_mode = resolve_content_mode(track_content, content_mode)
-        #: Back-compat bool: only "full" mode stores real bytes.
+        self.content_mode = resolve_content_mode(content_mode)
+        #: Only "full" mode stores real bytes.
         self.track_content = self.content_mode == CONTENT_FULL
         self._checksum = self.content_mode == CONTENT_CHECKSUM
         #: Rolling CRC32 per stripe of the accepted update stream

@@ -58,7 +58,7 @@ class StripeCacheEntry:
 class ClientCache:
     """Per-client page cache over all files/stripes it touches."""
 
-    def __init__(self, sim: Simulator, track_content: bool = True,
+    def __init__(self, sim: Simulator,
                  min_dirty: int = 256 * 1024 * 1024,
                  max_dirty: int = 4 * 1024 * 1024 * 1024,
                  max_cached: Optional[int] = None,
@@ -68,8 +68,8 @@ class ClientCache:
         if max_cached is not None and max_cached < max_dirty:
             raise ValueError("max_cached must be >= max_dirty")
         self.sim = sim
-        self.content_mode = resolve_content_mode(track_content, content_mode)
-        #: Back-compat bool: only "full" mode materializes byte buffers.
+        self.content_mode = resolve_content_mode(content_mode)
+        #: Only "full" mode materializes byte buffers.
         self.track_content = self.content_mode == CONTENT_FULL
         self._checksum = self.content_mode == CONTENT_CHECKSUM
         #: Rolling CRC32 per stripe of the accepted write stream

@@ -43,18 +43,28 @@ seq)`` across the four lane heads, so the processing order — and therefore
 every MetricsSnapshot — is byte-identical to the original kernel (see the
 golden digests in tests/integration/test_determinism.py).
 
-Two further fast paths cut per-event constant factors:
+One dispatch loop
+-----------------
+:meth:`Simulator.run` and :meth:`Simulator.run_until_event` share one
+private loop, ``Simulator._loop(until, target, max_events)``: ``run``
+passes a target that is never processed, ``run_until_event`` passes
+``until = inf``.  :meth:`Simulator.step` dispatches a single event on its
+own.  The loop stops *before* any entry with ``time > until`` or
+``time == inf``, in every lane alike: an entry scheduled at ``inf`` never
+fires, so ``run()`` returns with it still queued and
+``run_until_event`` reports a deadlock if only such entries remain.
+
+Two fast paths inside the loop cut per-event constant factors:
 
 * **Direct delays**: a process may ``yield 1.5e-6`` instead of ``yield
   sim.timeout(1.5e-6)``.  No Timeout object, callbacks list, or dispatch
   call is created; the scheduler stores ``(time, NORMAL, seq, None,
-  process)`` and resumes the generator directly from the run loop.  The
-  hot run loops go one step further and send into the generator *in
-  place* — no ``_resume`` frame at all — handing only the uncommon
-  outcomes (process end, event yields, usage errors) back to the
-  general resume path.
+  process)``, and the loop sends into the generator *in place* — no
+  ``_resume`` frame at all — handing only the uncommon outcomes
+  (process end, event yields, usage errors) back to the general resume
+  path.
 * **Timeout free-list**: processed :class:`Timeout` objects are recycled
-  when the run loop can prove (via ``sys.getrefcount``) that it holds the
+  when the loop can prove (via ``sys.getrefcount``) that it holds the
   sole remaining reference, so user code that keeps a timeout alive
   (condition dicts, stored handles) always keeps its object.
 
@@ -98,6 +108,10 @@ _UNLIMITED = 0x7FFFFFFFFFFFFFFF
 #: Sentinel schedule entry greater than any real one (time = +inf).
 _INF = float("inf")
 _END = (_INF,)
+
+#: Largest finite time: the dispatch loop's bound is clamped to it, so a
+#: single ``time > until`` test also keeps ``inf`` entries from firing.
+_MAX_TIME = sys.float_info.max
 
 #: Free-list recycling relies on exact reference counts; only CPython
 #: guarantees them (the guard disables recycling elsewhere).
@@ -218,7 +232,7 @@ class Event:
             raise SimulationError(f"{self!r} already triggered")
         self._ok = False
         self._value = exc
-        self.sim._schedule(self, delay, priority)
+        self.sim._push_delayed(self, delay, priority)
         return self
 
     def defuse(self) -> None:
@@ -252,7 +266,7 @@ def _throw_usage(proc: "Process", exc: SimulationError) -> None:
 
     Mirrors the error spin at the bottom of :meth:`Process._resume_impl`
     (a pre-failed event handed to the resume loop), factored out so the
-    inlined run-loop dispatch can share it.
+    inlined dispatch loop can share it.
     """
     event = Event(proc.sim)
     event._ok = False
@@ -268,6 +282,11 @@ _NULL_EVENT._value = None
 _NULL_EVENT._ok = True
 _NULL_EVENT._processed = True
 _NULL_EVENT._defused = False
+
+#: Target :meth:`Simulator.run` hands the dispatch loop: never processed,
+#: so only the clock bound, an empty schedule or the budget stop it.
+_NEVER = Event.__new__(Event)
+_NEVER._processed = False
 
 
 class Timeout(Event):
@@ -606,10 +625,6 @@ class Simulator:
         if p > self._max_queue_len:
             self._max_queue_len = p
 
-    # Back-compat alias used by Event.fail and external triggering helpers.
-    def _schedule(self, event: Event, delay: float, priority: int) -> None:
-        self._push_delayed(event, delay, priority)
-
     def _select(self):
         """Head entry with the globally minimal (time, priority, seq) key,
         plus its source lane; (None, None) when nothing is scheduled."""
@@ -678,9 +693,46 @@ class Simulator:
         processes (flush daemons, cache cleaners) keep the schedule
         non-empty.  ``max_events`` processes at most that many events; if
         the target is still pending after exactly ``max_events`` events a
-        :class:`SimulationError` is raised.
+        :class:`SimulationError` is raised, as it is when the schedule
+        runs dry (or holds only ``inf``-time entries) first.
+        """
+        self._loop(_INF, event, max_events)
+        if not event._processed:
+            raise SimulationError(
+                "deadlock: event can never trigger (heap empty)")
+
+    def run(self, until: Optional[float] = None,
+            max_events: Optional[int] = None) -> None:
+        """Run until the schedule drains, ``until`` is reached, or the event
+        budget ``max_events`` is exhausted.
+
+        ``max_events`` is a guard against accidental livelock in protocol
+        code; exactly that many events are processed before
+        :class:`SimulationError` is raised.  With ``until`` the clock ends
+        at ``until``; entries due at ``inf`` never fire.
+        """
+        if until is None:
+            self._loop(_INF, _NEVER, max_events)
+        else:
+            self._loop(until, _NEVER, max_events)
+            self._now = until
+
+    def _loop(self, until: float, target: Event,
+              max_events: Optional[int]) -> None:
+        """The dispatch loop behind :meth:`run` and :meth:`run_until_event`.
+
+        Processes entries in global ``(time, priority, seq)`` order until
+        ``target`` is processed, the schedule drains, or the next entry is
+        due after ``until`` or at ``inf`` (such an entry stays scheduled
+        and never fires, whichever lane holds it).  Lane selection and
+        dispatch are inlined (mirroring :meth:`step`): the per-event
+        constant factor dominates at paper scale.  ``_event_count`` is
+        flushed once in the ``finally`` block so exceptions leave an
+        accurate count.
         """
         budget = max_events if max_events is not None else _UNLIMITED
+        if until > _MAX_TIME:
+            until = _MAX_TIME
         heap = self._heap
         fut = self._fut
         fut_pop = fut.popleft
@@ -689,11 +741,8 @@ class Simulator:
         free = self._free
         getref = _getrefcount
         n = 0
-        # Inlined lane selection + dispatch (mirrors step()): the per-event
-        # constant factor dominates at paper scale.  _event_count is flushed
-        # once in the finally block so exceptions leave an accurate count.
         try:
-            while not event._processed:
+            while not target._processed:
                 if heap or inorm or ih:
                     best = heap[0] if heap else _END
                     src = heap
@@ -712,9 +761,9 @@ class Simulator:
                         if e < best:
                             best = e
                             src = ih
-                    if best is _END:
-                        raise SimulationError(
-                            "deadlock: event can never trigger (heap empty)")
+                    tnow = best[0]
+                    if tnow > until:
+                        return
                     if n >= budget:
                         raise SimulationError(
                             f"event budget {max_events} exhausted "
@@ -726,10 +775,10 @@ class Simulator:
                     # the steady state of timeout/delay-dominated phases.
                     # Pop first and push back on the (rare) non-pop exits.
                     entry = fut_pop()
-                    if entry[0] == _INF:
+                    tnow = entry[0]
+                    if tnow > until:
                         fut.appendleft(entry)
-                        raise SimulationError(
-                            "deadlock: event can never trigger (heap empty)")
+                        return
                     if n >= budget:
                         fut.appendleft(entry)
                         raise SimulationError(
@@ -737,10 +786,8 @@ class Simulator:
                             f"at t={self._now}")
                     n += 1
                 else:
-                    raise SimulationError(
-                        "deadlock: event can never trigger (heap empty)")
+                    return
                 self._pending -= 1
-                tnow = entry[0]
                 self._now = tnow
                 ev = entry[3]
                 if ev is None:
@@ -816,217 +863,6 @@ class Simulator:
                     raise ev._value
                 # Recycle plain timeouts nobody else holds: refcount 2 ==
                 # the local `ev` plus getrefcount's own argument.
-                if (ev.__class__ is Timeout and getref(ev) == 2
-                        and len(free) < _FREE_MAX):
-                    free.append(ev)
-        finally:
-            self._event_count += n
-
-    def run(self, until: Optional[float] = None,
-            max_events: Optional[int] = None) -> None:
-        """Run until the schedule drains, ``until`` is reached, or the event
-        budget ``max_events`` is exhausted.
-
-        ``max_events`` is a guard against accidental livelock in protocol
-        code; exactly that many events are processed before
-        :class:`SimulationError` is raised.
-        """
-        budget = max_events if max_events is not None else _UNLIMITED
-        heap = self._heap
-        fut = self._fut
-        fut_pop = fut.popleft
-        inorm = self._imm_norm
-        ih = self._imm_high
-        free = self._free
-        getref = _getrefcount
-        n = 0
-        try:
-            while True:
-                if heap or inorm or ih:
-                    best = heap[0] if heap else _END
-                    src = heap
-                    if fut:
-                        e = fut[0]
-                        if e < best:
-                            best = e
-                            src = fut
-                    if inorm:
-                        e = inorm[0]
-                        if e < best:
-                            best = e
-                            src = inorm
-                    if ih:
-                        e = ih[0]
-                        if e < best:
-                            best = e
-                            src = ih
-                    if best is _END:
-                        break
-                    if until is not None and best[0] > until:
-                        self._now = until
-                        return
-                    if n >= budget:
-                        raise SimulationError(
-                            f"event budget {max_events} exhausted "
-                            f"at t={self._now}")
-                    n += 1
-                    entry = _heappop(heap) if src is heap else src.popleft()
-                elif fut:
-                    # Fast path: only the monotone future lane is live —
-                    # the steady state of timeout/delay-dominated phases.
-                    # Pop first and push back on the (rare) non-pop exits.
-                    entry = fut_pop()
-                    t = entry[0]
-                    if until is not None:
-                        if t > until:
-                            fut.appendleft(entry)
-                            self._now = until
-                            return
-                    elif t == _INF:
-                        fut.appendleft(entry)
-                        break  # inf-delay entries never fire (as before)
-                    if n >= budget:
-                        fut.appendleft(entry)
-                        raise SimulationError(
-                            f"event budget {max_events} exhausted "
-                            f"at t={self._now}")
-                    n += 1
-                else:
-                    break
-                self._pending -= 1
-                tnow = entry[0]
-                self._now = tnow
-                ev = entry[3]
-                if ev is None:
-                    # Direct-delay resume, fully inlined (see
-                    # run_until_event for the commentary).
-                    proc = entry[4]
-                    if proc._dwait != entry[2]:
-                        continue  # invalidated by an interrupt: stale no-op
-                    proc._dwait = 0
-                    try:
-                        result = proc._send(None)
-                    except StopIteration as stop:
-                        proc.succeed(stop.value, priority=0)
-                        continue
-                    except BaseException as exc:
-                        proc.fail(exc, priority=0)
-                        continue
-                    cls = result.__class__
-                    if cls is float or cls is int:
-                        if result > 0:
-                            seq = self._seq = self._seq + 1
-                            t = tnow + result
-                            nentry = (t, 1, seq, None, proc)
-                            if fut:
-                                tail = fut[-1]
-                                if t > tail[0] or \
-                                        (t == tail[0] and tail[1] <= 1):
-                                    fut.append(nentry)
-                                else:
-                                    _heappush(heap, nentry)
-                            else:
-                                fut.append(nentry)
-                        elif result == 0:
-                            seq = self._seq = self._seq + 1
-                            inorm.append((tnow, 1, seq, None, proc))
-                        else:
-                            _throw_usage(proc, SimulationError(
-                                f"process {proc.name!r} yielded negative "
-                                f"delay {result!r}"))
-                            continue
-                        proc._dwait = seq
-                        p = self._pending + 1
-                        self._pending = p
-                        if p > self._max_queue_len:
-                            self._max_queue_len = p
-                    elif isinstance(result, Event):
-                        if result.sim is not self:
-                            _throw_usage(proc, SimulationError(
-                                "event belongs to a different simulator"))
-                        elif result.callbacks is None:
-                            proc._resume(result)  # already processed
-                        else:
-                            result.callbacks.append(proc._resume)
-                            proc._target = result
-                    else:
-                        _throw_usage(proc, SimulationError(
-                            f"process {proc.name!r} yielded non-event "
-                            f"{result!r}"))
-                    continue
-                callbacks = ev.callbacks
-                ev.callbacks = None
-                ev._processed = True
-                if len(callbacks) == 1:
-                    callbacks[0](ev)
-                else:
-                    for fn in callbacks:
-                        fn(ev)
-                if not ev._ok and not ev._defused:
-                    raise ev._value
-                if (ev.__class__ is Timeout and getref(ev) == 2
-                        and len(free) < _FREE_MAX):
-                    free.append(ev)
-        finally:
-            self._event_count += n
-        if until is not None:
-            self._now = until
-
-    def run_window(self, horizon: float,
-                   until_event: Optional[Event] = None,
-                   max_events: Optional[int] = None) -> bool:
-        """Process events with time strictly below ``horizon`` in global
-        ``(time, priority, seq)`` order, then stop.
-
-        The building block of the conservative partitioned engine
-        (:mod:`repro.sim.partition`): a bounded window is safe to execute
-        because cross-partition deliveries parked in the fabric's exchange
-        buffers are guaranteed — by the network lookahead — to land at or
-        beyond ``horizon``.  The clock is left at the last processed
-        event, never advanced to ``horizon``, so every schedule key
-        assigned inside the next window matches the serial kernel exactly.
-
-        Returns ``True`` iff ``until_event`` was processed inside the
-        window.  ``max_events`` bounds the number of events processed;
-        exhausting the budget raises :class:`SimulationError`.
-        """
-        budget = max_events if max_events is not None else _UNLIMITED
-        heap = self._heap
-        free = self._free
-        getref = _getrefcount
-        n = 0
-        try:
-            while True:
-                if until_event is not None and until_event._processed:
-                    return True
-                best, src = self._select()
-                if best is None or best[0] >= horizon:
-                    return False
-                if n >= budget:
-                    raise SimulationError(
-                        f"event budget {max_events} exhausted "
-                        f"at t={self._now}")
-                n += 1
-                entry = _heappop(src) if src is heap else src.popleft()
-                self._pending -= 1
-                self._now = entry[0]
-                ev = entry[3]
-                if ev is None:
-                    proc = entry[4]
-                    if proc._dwait == entry[2]:
-                        proc._dwait = 0
-                        proc._resume(_NULL_EVENT)
-                    continue
-                callbacks = ev.callbacks
-                ev.callbacks = None
-                ev._processed = True
-                if len(callbacks) == 1:
-                    callbacks[0](ev)
-                else:
-                    for fn in callbacks:
-                        fn(ev)
-                if not ev._ok and not ev._defused:
-                    raise ev._value
                 if (ev.__class__ is Timeout and getref(ev) == 2
                         and len(free) < _FREE_MAX):
                     free.append(ev)

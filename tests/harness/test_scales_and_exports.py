@@ -29,7 +29,17 @@ def test_paper_scale_matches_published_constants():
 
 def test_top_level_package_metadata():
     import repro
-    assert repro.__version__ == "1.4.0"
+    assert repro.__version__ == "2.0.0"
+
+
+def test_package_version_has_one_source():
+    # pyproject.toml must read the version from repro.__version__ rather
+    # than declare its own copy, so an install reports the same number.
+    from pathlib import Path
+    text = (Path(__file__).resolve().parents[2] / "pyproject.toml").read_text()
+    assert 'dynamic = ["version"]' in text
+    assert 'version = { attr = "repro.__version__" }' in text
+    assert "\nversion = \"" not in text
 
 
 @pytest.mark.parametrize("module,names", [

@@ -4,8 +4,7 @@
 ``checksum`` keeps no byte buffers but folds every accepted update into
 a rolling per-stripe CRC32 on both the client cache and the data server,
 giving a cheap cross-run equivalence fingerprint.  ``off`` is pure
-bookkeeping.  The legacy ``track_content`` bool must keep working and an
-explicit mode must win over it.
+bookkeeping.  An unset mode means ``full``; anything else is rejected.
 """
 
 import pytest
@@ -22,20 +21,18 @@ from repro.sim.core import Simulator
 
 
 # ------------------------------------------------------------- resolution
-def test_mode_derived_from_legacy_bool():
-    assert resolve_content_mode(True, None) == CONTENT_FULL
-    assert resolve_content_mode(False, None) == CONTENT_OFF
-
-
-def test_explicit_mode_wins_over_bool():
-    assert resolve_content_mode(True, "off") == CONTENT_OFF
-    assert resolve_content_mode(False, "full") == CONTENT_FULL
-    assert resolve_content_mode(False, "checksum") == CONTENT_CHECKSUM
+def test_unset_mode_means_full_and_named_modes_pass_through():
+    assert resolve_content_mode() == CONTENT_FULL
+    assert resolve_content_mode(None) == CONTENT_FULL
+    for mode in (CONTENT_FULL, CONTENT_CHECKSUM, CONTENT_OFF):
+        assert resolve_content_mode(mode) == mode
 
 
 def test_unknown_mode_rejected():
     with pytest.raises(ValueError):
-        resolve_content_mode(True, "sometimes")
+        resolve_content_mode("sometimes")
+    with pytest.raises(ValueError, match="content_mode"):
+        Cluster(ClusterConfig(num_clients=1, content_mode="sometimes"))
 
 
 # ------------------------------------------------------------ client cache

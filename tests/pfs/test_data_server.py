@@ -20,7 +20,7 @@ KEY = ("f", 0)
 
 
 class Rig:
-    def __init__(self, track_content=True, extent_log=None, **devkw):
+    def __init__(self, content_mode="full", extent_log=None, **devkw):
         self.sim = Simulator()
         self.fabric = Fabric(self.sim, NetworkConfig())
         self.server_node = self.fabric.add_node("ds")
@@ -31,7 +31,7 @@ class Rig:
         self.ecache = ServerExtentCache(self.sim)
         self.ds = DataServer(self.server_node, self.device, self.ecache,
                              extent_log=extent_log,
-                             track_content=track_content)
+                             content_mode=content_mode)
 
     def call(self, msg, nbytes=256):
         out = {}
@@ -115,7 +115,7 @@ def test_extent_log_records_update_sets():
 
 
 def test_content_tracking_off_still_tracks_sizes():
-    rig = Rig(track_content=False)
+    rig = Rig(content_mode="off")
     rig.call(IoWriteMsg(KEY, [WireBlock(0, 50, 1, None)]))
     assert rig.call(IoSizeMsg(KEY)) == 50
     assert rig.call(IoReadMsg(KEY, 0, 4)) is None

@@ -150,7 +150,7 @@ def test_restore_dirty_after_failed_flush():
 
 
 def test_content_tracking_off():
-    _sim, cache = make_cache(track_content=False)
+    _sim, cache = make_cache(content_mode="off")
     cache.write(KEY, 0, 4, sn=1, data=None)
     data, missing = cache.read(KEY, 0, 4)
     assert data is None and missing == []
